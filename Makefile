@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet fmt-check lint build test test-race bench-smoke bench-diff bench-baseline bench-scale bench-scale-baseline bench load-smoke load-slo load-baseline chaos clean
+.PHONY: verify vet fmt-check lint build test test-race stress fuzz bench-smoke bench-diff bench-baseline bench-scale bench-scale-baseline bench load-smoke load-slo load-baseline chaos clean
 
 verify: vet lint build test
 
@@ -29,6 +29,22 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Stress gate: the packages that own the shared memo store and the
+# service's run table — the code whose locking decides whether a
+# finished run reads as a cache hit — repeated 20 times at 1, 2 and 4
+# procs under the race detector, so an interleaving that fails one run
+# in five surfaces here instead of as a tier-1 flake. Under the race
+# detector each package's 60 runs take well beyond go test's default
+# 10-minute binary timeout (CHANGES.md has the measured wall time).
+stress:
+	$(GO) test -race -count=20 -cpu 1,2,4 -timeout 180m ./internal/artefact ./internal/studysvc ./internal/sweep
+
+# Fuzz smoke: the study service's cache-key domain (request decoding +
+# canonicalize) beyond its committed seed corpus, which plain `go test`
+# already replays.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=20s ./internal/studysvc
 
 # Three iterations of the sequential/concurrent full-study pair plus
 # the cross-seed sweep — fast sanity that the engine and the sweep

@@ -586,39 +586,13 @@ func BenchmarkSweepCrossSeed(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepWorldCache runs the crawler-concurrency preset — one
-// world, four concurrency cells — with and without the sweep-level
-// world cache. The gap between the two sub-benchmarks is the world
-// regeneration the cache removes from every grid that only varies
-// annotation/worker axes.
-func BenchmarkSweepWorldCache(b *testing.B) {
-	cells, err := sweep.Spec{
-		Preset: sweep.PresetConcurrency, Seeds: 1,
-		Scale: 0.01, Annotation: 200,
-	}.Cells()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, backend sweep.Backend) {
-		for i := 0; i < b.N; i++ {
-			res := sweep.Run(context.Background(), "bench", cells, backend,
-				sweep.Options{Parallelism: 2})
-			if len(res.Errors) != 0 {
-				b.Fatalf("sweep errors: %v", res.Errors)
-			}
-		}
-	}
-	b.Run("uncached", func(b *testing.B) { run(b, sweep.Local{}) })
-	b.Run("cached", func(b *testing.B) { run(b, sweep.Local{Worlds: sweep.NewWorldCache(0)}) })
-}
-
 // BenchmarkArtefactReuse measures what the artefact memo store saves
 // an annotation-only sweep: the cold pass computes every node for
-// both annotation cells (sharing only the world-keyed selection),
-// the warm pass re-runs the identical sweep against the primed store
-// and recomputes nothing — zero crawls, zero reverse searches. The
-// cold/warm gap is the artefact graph's reuse dividend; CI's
-// bench-smoke job gates it as BENCH_artefact.json.
+// both annotation cells (sharing only the world and the world-keyed
+// selection), the warm pass re-runs the identical sweep against the
+// primed store and recomputes nothing — no generation, zero crawls,
+// zero reverse searches. The cold/warm gap is the artefact graph's
+// reuse dividend; CI's bench-smoke job gates it as BENCH_artefact.json.
 func BenchmarkArtefactReuse(b *testing.B) {
 	cells := sweep.Grid{
 		Seeds:       []uint64{2019},
@@ -634,17 +608,11 @@ func BenchmarkArtefactReuse(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runSweep(b, sweep.Local{
-				Worlds: sweep.NewWorldCache(0),
-				Memo:   artefact.NewStore(0),
-			})
+			runSweep(b, sweep.Local{Memo: artefact.NewStore()})
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		backend := sweep.Local{
-			Worlds: sweep.NewWorldCache(0),
-			Memo:   artefact.NewStore(0),
-		}
+		backend := sweep.Local{Memo: artefact.NewStore()}
 		runSweep(b, backend) // prime the store
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -79,7 +79,7 @@ func main() {
 	crawl := flag.Int("crawl", 0, "crawler workers per study (0 = study default)")
 	faults := flag.String("faults", "", `base faultx fault profile for every cell (e.g. "rot=0.3"; the adversarial-hosts preset sweeps its own ladder instead)`)
 	parallel := flag.Int("parallel", 2, "concurrent cells")
-	memoize := flag.Bool("artefact-cache", true, "share artefact values across cells (results are identical either way; defaults off for the crawler-concurrency preset, whose per-cell timings are the measurement)")
+	memoize := flag.Bool("artefact-cache", true, "share generated worlds and artefact values across cells (results are identical either way; false also regenerates each cell's world; defaults off for the crawler-concurrency preset, whose per-cell timings are the measurement)")
 	cellTimeout := flag.Duration("cell-timeout", 10*time.Minute, "per-cell timeout")
 	remote := flag.String("remote", "", "drive a live study service at this base URL")
 	server := flag.Bool("server", false, "with -remote: run the sweep server-side via POST /v1/sweep")
@@ -165,14 +165,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep %s done on the server\n", env.ID)
 		res = env.Result
 	default:
-		// Local cells share generated worlds and, by default,
-		// artefact values: a grid varying only annotation or
-		// concurrency axes generates each world once, and cells whose
-		// semantic parameters match reuse whole artefact prefixes (a
-		// crawler-concurrency sweep crawls once, not once per cell —
-		// which also makes the later cells' timings memo reads;
-		// -artefact-cache=false restores per-cell execution when the
-		// timing itself is the measurement).
+		// Local cells share, by default, one memo store of generated
+		// worlds and artefact values: a grid varying only annotation
+		// or concurrency axes generates each world once, and cells
+		// whose semantic parameters match reuse whole artefact
+		// prefixes (a crawler-concurrency sweep crawls once, not once
+		// per cell — which also makes the later cells' timings memo
+		// reads; -artefact-cache=false restores per-cell execution,
+		// world generation included, when the timing itself is the
+		// measurement).
 		// The crawler-concurrency preset measures per-cell timing
 		// across crawl worker counts — an axis the memo keys exclude
 		// on purpose — so sharing would turn every cell after the
@@ -190,9 +191,9 @@ func main() {
 				memoOn = false
 			}
 		}
-		local := sweep.Local{Worlds: sweep.NewWorldCache(0)}
+		var local sweep.Local
 		if memoOn {
-			local.Memo = artefact.NewStore(0)
+			local.Memo = artefact.NewStore()
 		}
 		var backend sweep.Backend = local
 		mode := "local"

@@ -56,6 +56,9 @@ type Node[E any] struct {
 	// equal values. A nil Key (or an empty string) disables
 	// memoization for the node.
 	Key func(env E) string
+	// Keep bounds how many completed keys of this node a Store
+	// retains, least recently used evicted first (0: no bound).
+	Keep int
 	// Compute produces the node's value from its dependency values.
 	Compute func(ctx context.Context, env E, deps Deps) (any, error)
 }
@@ -195,7 +198,7 @@ func (g *Graph[E]) Evaluate(ctx context.Context, env E, store *Store, opts EvalO
 		return nil, err
 	}
 	if store == nil {
-		store = NewStore(len(needed))
+		store = NewStore()
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -236,7 +239,7 @@ func (g *Graph[E]) Evaluate(ctx context.Context, env E, store *Store, opts EvalO
 				key = n.Key(env)
 			}
 			start := time.Now()
-			val, memoized, err := store.resolve(ctx, n.Name, key, func(ctx context.Context) (any, error) {
+			val, memoized, err := store.Resolve(ctx, n.Name, key, n.Keep, func(ctx context.Context) (any, error) {
 				return n.Compute(ctx, env, deps)
 			})
 			sl.val, sl.err = val, err

@@ -88,7 +88,7 @@ func TestEvaluateDiamond(t *testing.T) {
 func TestEvaluateSelective(t *testing.T) {
 	g := diamond(t)
 	e := &env{key: "k"}
-	store := NewStore(0)
+	store := NewStore()
 	vals, err := g.Evaluate(context.Background(), e, store, EvalOptions{}, "b")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestEvaluateSelective(t *testing.T) {
 
 func TestEvaluateMemoizes(t *testing.T) {
 	g := diamond(t)
-	store := NewStore(0)
+	store := NewStore()
 	ctx := context.Background()
 
 	e1 := &env{key: "k"}
@@ -150,7 +150,7 @@ func TestEvaluateSingleflight(t *testing.T) {
 	// Many concurrent evaluations over one store and key: each node
 	// computes exactly once in total.
 	g := diamond(t)
-	store := NewStore(0)
+	store := NewStore()
 	var wg sync.WaitGroup
 	var computes atomic.Int64
 	for i := 0; i < 8; i++ {
@@ -193,7 +193,7 @@ func TestEvaluateErrors(t *testing.T) {
 			return Get[string](d, "bad") + "!", nil
 		},
 	})
-	store := NewStore(0)
+	store := NewStore()
 	if _, err := g.Evaluate(context.Background(), &env{}, store, EvalOptions{}, "down"); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -228,7 +228,7 @@ func TestWaiterRetriesAfterCreatorFails(t *testing.T) {
 			return "ok", nil
 		},
 	})
-	store := NewStore(0)
+	store := NewStore()
 	ctxA, cancelA := context.WithCancel(context.Background())
 	aDone := make(chan error, 1)
 	go func() {
@@ -290,75 +290,97 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestStoreLRUBound pins the per-node bound: each node name keeps at
+// most keep completed keys, least recently used evicted first, and one
+// node's traffic never evicts another node's entries.
 func TestStoreLRUBound(t *testing.T) {
-	store := NewStore(2)
+	store := NewStore()
 	compute := func(v string) func(context.Context) (any, error) {
 		return func(context.Context) (any, error) { return v, nil }
 	}
 	ctx := context.Background()
+	if _, _, err := store.Resolve(ctx, "other", "o", 2, compute("o")); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := store.resolve(ctx, "n", key, compute(key)); err != nil {
+		if _, _, err := store.Resolve(ctx, "n", key, 2, compute(key)); err != nil {
 			t.Fatal(err)
 		}
+		if i == 2 {
+			// Refresh k1: k2 becomes the least recently used of the
+			// two survivors, so the next insert evicts it.
+			if _, memo, _ := store.Resolve(ctx, "n", "k1", 2, compute("k1")); !memo {
+				t.Fatal("k1 evicted before the bound was reached")
+			}
+		}
 	}
-	if store.Len() != 2 {
-		t.Fatalf("store holds %d entries, want 2", store.Len())
+	if store.Len() != 3 {
+		t.Fatalf("store holds %d entries, want 3 (2 for n, 1 for other)", store.Len())
 	}
-	st := store.Stats()
-	if st.Evictions != 3 {
+	if st := store.Stats(); st.Evictions != 3 {
 		t.Fatalf("evictions = %d, want 3", st.Evictions)
 	}
-	// The newest keys survive; the oldest recompute.
-	if _, memo, _ := store.resolve(ctx, "n", "k4", compute("k4")); !memo {
-		t.Fatal("most recent entry was evicted")
+	// The two most recently used keys of n survive, and so does the
+	// other node's only entry; the evicted ones recompute.
+	for _, key := range []string{"k4", "k3"} {
+		if _, memo, _ := store.Resolve(ctx, "n", key, 2, compute(key)); !memo {
+			t.Fatalf("%s was evicted", key)
+		}
 	}
-	if _, memo, _ := store.resolve(ctx, "n", "k0", compute("k0")); memo {
-		t.Fatal("oldest entry survived a full eviction cycle")
+	if _, memo, _ := store.Resolve(ctx, "other", "o", 2, compute("o")); !memo {
+		t.Fatal("another node's traffic evicted its entry")
+	}
+	if _, memo, _ := store.Resolve(ctx, "n", "k1", 2, compute("k1")); memo {
+		t.Fatal("k1 survived beyond the bound")
 	}
 }
 
 // TestStoreEvictionSkipsInFlight pins the eviction contract: an
-// in-flight entry is never evicted (the store transiently exceeds its
+// in-flight entry is never evicted (the node transiently exceeds its
 // bound instead), so concurrent resolvers keep deduplicating onto the
-// running computation and its value is stored when it completes.
+// running computation and its value is stored when it completes —
+// after which the node is back within its bound of completed keys.
 func TestStoreEvictionSkipsInFlight(t *testing.T) {
-	store := NewStore(1)
+	store := NewStore()
 	ctx := context.Background()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		store.resolve(ctx, "n", "slow", func(context.Context) (any, error) {
+		store.Resolve(ctx, "n", "slow", 1, func(context.Context) (any, error) {
 			close(started)
 			<-release
 			return "slow-value", nil
 		})
 	}()
 	<-started
-	// Inserting a second entry overflows max=1, but the in-flight
-	// entry must survive.
-	if _, _, err := store.resolve(ctx, "n", "fast", func(context.Context) (any, error) { return "fast", nil }); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != 2 {
-		t.Fatalf("store holds %d entries, want 2 (in-flight entry must not evict)", store.Len())
-	}
-	close(release)
-	<-slowDone
-	// The slow value was kept and is served from memo...
-	v, memo, err := store.resolve(ctx, "n", "slow", func(context.Context) (any, error) { return "recomputed", nil })
-	if err != nil || !memo || v != "slow-value" {
-		t.Fatalf("slow entry lost: v=%v memo=%v err=%v", v, memo, err)
-	}
-	// ...and the next insert shrinks the store back within its bound
-	// now that everything is completed.
-	if _, _, err := store.resolve(ctx, "n", "third", func(context.Context) (any, error) { return 3, nil }); err != nil {
+	// A second key overflows keep=1. The in-flight entry must survive;
+	// the completed one gives way instead.
+	if _, _, err := store.Resolve(ctx, "n", "fast", 1, func(context.Context) (any, error) { return "fast", nil }); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != 1 {
-		t.Fatalf("store holds %d entries after completion, want 1", store.Len())
+		t.Fatalf("store holds %d entries, want 1 (the in-flight one)", store.Len())
+	}
+	// A waiter joins the in-flight computation rather than recomputing.
+	waited := make(chan any)
+	go func() {
+		v, _, _ := store.Resolve(ctx, "n", "slow", 1, func(context.Context) (any, error) { return "recomputed", nil })
+		waited <- v
+	}()
+	close(release)
+	<-slowDone
+	if v := <-waited; v != "slow-value" {
+		t.Fatalf("waiter got %v, want the in-flight computation's value", v)
+	}
+	v, memo, err := store.Resolve(ctx, "n", "slow", 1, func(context.Context) (any, error) { return "recomputed", nil })
+	if err != nil || !memo || v != "slow-value" {
+		t.Fatalf("slow entry lost: v=%v memo=%v err=%v", v, memo, err)
+	}
+	if n := store.ComputeCount("n"); n != 2 {
+		t.Fatalf("node computed %d times, want 2 (slow once, fast once)", n)
 	}
 }
 

@@ -2,33 +2,35 @@ package artefact
 
 import (
 	"context"
-	"strings"
+	"slices"
 	"sync"
 
 	"repro/internal/logx"
 	"repro/internal/tracex"
 )
 
-// DefaultStoreSize bounds a Store created with no explicit limit.
-const DefaultStoreSize = 256
-
 // Store memoizes node values across evaluations. Entries are keyed by
 // (node name, node key); concurrent evaluations asking for the same
 // entry deduplicate onto one computation (the rest block until it
 // finishes), so two requests for different tables of the same world
-// run the shared prefix of the graph exactly once. The store is
-// LRU-bounded in entries and never memoizes errors — a failed
-// computation is dropped so the next evaluation retries.
+// run the shared prefix of the graph exactly once. The store never
+// memoizes errors — a failed computation is dropped so the next
+// evaluation retries.
 //
-// It also serves as the node-execution ledger: ComputeCounts reports
-// how many times each node actually computed (as opposed to being
+// The bound is per node name, not per store: each node keeps its keep
+// most recently used keys (Node.Keep, or Resolve's keep argument), so a
+// node whose values are large — the generated world, the crawl corpus —
+// cannot crowd out another node's entries, and a store's footprint is
+// the sum of its nodes' bounds whatever the traffic mix.
+//
+// It also serves as the node-execution ledger: ComputeCount reports
+// how many times a node actually computed (as opposed to being
 // answered from memo), which is what selectivity and reuse tests
 // assert on.
 type Store struct {
 	mu      sync.Mutex
-	max     int
-	entries map[string]*entry
-	order   []string // LRU order, most recently used last
+	entries map[string]*entry   // node+"\x00"+key → entry
+	lru     map[string][]string // node → its keys, least recently used first
 
 	computes map[string]int // node name → actual computations
 	hits     int64
@@ -43,30 +45,28 @@ type entry struct {
 	err  error
 }
 
-// NewStore returns a store holding at most max entries
-// (DefaultStoreSize if max <= 0).
-func NewStore(max int) *Store {
-	if max <= 0 {
-		max = DefaultStoreSize
-	}
+// NewStore returns an empty store.
+func NewStore() *Store {
 	return &Store{
-		max:      max,
 		entries:  make(map[string]*entry),
+		lru:      make(map[string][]string),
 		computes: make(map[string]int),
 	}
 }
 
-// resolve returns the memoized value for (node, key), computing it
+// Resolve returns the memoized value for (node, key), computing it
 // with fn on first use. memoized reports that the value came from the
-// store rather than this call's fn. An empty key bypasses the store
-// entirely (the node is computed every time, and still ledgered).
+// store rather than this call's fn. keep bounds how many of node's
+// completed keys the store retains (keep <= 0: no bound). An empty key
+// bypasses the store entirely (the node is computed every time, and
+// still ledgered).
 //
 // A waiter that observes the creator's failure retries with its own
 // fn instead of inheriting the error: one evaluation's timeout or
 // cancellation must not poison the evaluations that happened to be
 // waiting on its in-flight nodes. Only the waiter's own cancellation
 // ends its attempt.
-func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.Context) (any, error)) (val any, memoized bool, err error) {
+func (s *Store) Resolve(ctx context.Context, node, key string, keep int, fn func(context.Context) (any, error)) (val any, memoized bool, err error) {
 	// The context logger (when the caller bound one — the study
 	// service's request/run ids arrive this way) sees every memo
 	// outcome at debug level; the context tracer records the same
@@ -95,13 +95,13 @@ func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.C
 		if !ok {
 			e = &entry{done: make(chan struct{})}
 			s.entries[id] = e
-			s.order = append(s.order, id)
-			s.evictLocked()
+			s.lru[node] = append(s.lru[node], key)
+			s.evictLocked(node, keep)
 			s.computes[node]++
 			s.mu.Unlock()
 			continue
 		}
-		s.touch(id)
+		s.touchLocked(node, key)
 		s.mu.Unlock()
 		select {
 		case <-cur.done:
@@ -126,34 +126,41 @@ func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.C
 	lg.Debug("memo compute", "node", node)
 	sp.SetAttr("outcome", "compute")
 	e.val, e.err = fn(ctx)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e.err != nil {
 		sp.SetAttr("error", e.err.Error())
 		// Never memoize failure: drop the entry (waiters already hold
 		// the pointer, observe the error, and retry on their own) so
 		// the next attempt recomputes.
-		s.mu.Lock()
-		if cur, ok := s.entries[id]; ok && cur == e {
+		if s.entries[id] == e {
 			delete(s.entries, id)
-			s.drop(id)
+			s.lru[node] = slices.DeleteFunc(s.lru[node], func(k string) bool { return k == key })
 		}
-		s.mu.Unlock()
+		close(e.done)
+		return e.val, false, e.err
 	}
+	// Completion counts as a use, and a completed entry may now be
+	// evicted: re-apply the bound with this entry most recently used.
 	close(e.done)
-	return e.val, false, e.err
+	s.touchLocked(node, key)
+	s.evictLocked(node, keep)
+	return e.val, false, nil
 }
 
-// evictLocked drops least-recently-used completed entries until the
-// store is within its bound. In-flight entries are never evicted —
-// that would detach future resolvers from a running computation and
-// duplicate its work — so the store may transiently exceed max while
-// computations are in flight. Caller holds s.mu.
-func (s *Store) evictLocked() {
-	for i := 0; i < len(s.order) && len(s.order) > s.max; {
-		id := s.order[i]
+// evictLocked drops node's least recently used completed entries until
+// at most keep of its entries remain. In-flight entries are never
+// evicted — that would detach future resolvers from a running
+// computation and duplicate its work — so a node may transiently hold
+// more than keep entries while computations are in flight; never more
+// than keep completed ones. Caller holds s.mu.
+func (s *Store) evictLocked(node string, keep int) {
+	keys := s.lru[node]
+	for i := 0; keep > 0 && i < len(keys) && len(keys) > keep; {
+		id := node + "\x00" + keys[i]
 		select {
 		case <-s.entries[id].done:
-			copy(s.order[i:], s.order[i+1:])
-			s.order = s.order[:len(s.order)-1]
+			keys = slices.Delete(keys, i, i+1)
 			delete(s.entries, id)
 			s.evicted++
 			// i now indexes the next candidate.
@@ -161,26 +168,16 @@ func (s *Store) evictLocked() {
 			i++ // in flight: skip
 		}
 	}
+	s.lru[node] = keys
 }
 
-// touch moves id to the most-recently-used end of the LRU order.
-func (s *Store) touch(id string) {
-	for i, k := range s.order {
-		if k == id {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = id
-			return
-		}
-	}
-}
-
-// drop removes id from the LRU order.
-func (s *Store) drop(id string) {
-	for i, k := range s.order {
-		if k == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
+// touchLocked moves key to the most-recently-used end of node's LRU
+// order. Caller holds s.mu.
+func (s *Store) touchLocked(node, key string) {
+	keys := s.lru[node]
+	if i := slices.Index(keys, key); i >= 0 {
+		copy(keys[i:], keys[i+1:])
+		keys[len(keys)-1] = key
 	}
 }
 
@@ -197,17 +194,6 @@ func (s *Store) ComputeCount(node string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.computes[node]
-}
-
-// ComputeCounts returns a copy of the per-node computation ledger.
-func (s *Store) ComputeCounts() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.computes))
-	for k, v := range s.computes {
-		out[k] = v
-	}
-	return out
 }
 
 // TotalComputes returns the total number of node computations across
@@ -249,16 +235,4 @@ func (s *Store) Stats() StoreStats {
 		Computes:  computes,
 		Evictions: s.evicted,
 	}
-}
-
-// Keys returns the memoized entry identities as "node|key" strings,
-// for diagnostics.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, strings.ReplaceAll(id, "\x00", "|"))
-	}
-	return out
 }

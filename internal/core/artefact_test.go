@@ -17,15 +17,24 @@ func artefactTestOptions() Options {
 	}
 }
 
+// sharedStudy builds a study over store, failing the test on error.
+func sharedStudy(t *testing.T, opts Options, store *artefact.Store) *Study {
+	t.Helper()
+	s, err := NewStudyWithStore(context.Background(), opts, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestComputeSelective pins the selectivity acceptance criterion via
 // the node-execution ledger: computing only Table 5 evaluates exactly
 // the provenance closure — the earnings, actor and exchange nodes are
 // never invoked.
 func TestComputeSelective(t *testing.T) {
-	store := artefact.NewStore(0)
-	s := NewStudy(artefactTestOptions())
+	store := artefact.NewStore()
+	s := sharedStudy(t, artefactTestOptions(), store)
 	defer s.Close()
-	s.UseMemo(store)
 
 	res, err := s.Compute(context.Background(), "table5")
 	if err != nil {
@@ -92,10 +101,9 @@ func TestComputeMatchesRun(t *testing.T) {
 // node once, and the second study's Results are bit-identical.
 func TestMemoSharedAcrossStudies(t *testing.T) {
 	ctx := context.Background()
-	store := artefact.NewStore(0)
+	store := artefact.NewStore()
 
-	s1 := NewStudy(artefactTestOptions())
-	s1.UseMemo(store)
+	s1 := sharedStudy(t, artefactTestOptions(), store)
 	want, err := s1.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +115,7 @@ func TestMemoSharedAcrossStudies(t *testing.T) {
 	opts := artefactTestOptions()
 	opts.Workers = 2
 	opts.CrawlConcurrency = 3
-	s2 := NewStudy(opts)
-	s2.UseMemo(store)
+	s2 := sharedStudy(t, opts, store)
 	got, err := s2.Run(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/nsfv"
 	"repro/internal/photodna"
 	"repro/internal/pipeline"
+	"repro/internal/synth"
 	"repro/internal/urlx"
 )
 
@@ -44,6 +45,23 @@ const (
 	ArtefactExchange   = "exchange"   // §5.3 currency exchange (Table 7)
 )
 
+// worldNode is the memo-store entry holding the generated world
+// (NewStudyWithStore). It is not an artefact: no Compute or Run
+// evaluates it, and Artefacts does not list it.
+const worldNode = "world"
+
+// Memo bounds, per node name of a shared store. Each artefact node
+// keeps its nodeKeep most recently used completed keys and the world
+// entry its worldKeep: a world takes ~10 MB of heap at scale 0.02 and
+// ~50 MB at 0.1, a full set of node values ~1.6 MB and ~14 MB (values
+// reference the world, they do not copy it), so resident worlds
+// dominate the footprint and get the tighter bound. DESIGN.md §9 has
+// the measurements.
+const (
+	nodeKeep  = 3
+	worldKeep = 2
+)
+
 // Artefacts lists every artefact name in canonical (pipeline) order.
 func Artefacts() []string {
 	return []string{
@@ -56,9 +74,9 @@ func Artefacts() []string {
 // SpanDeps returns the study's blocking-dependency graph in trace-span
 // naming: "node X" depends on "node Y" per the artefact registry, and
 // the root "node select" additionally blocks on "synth" (world
-// generation precedes every evaluation, and its span is emitted by
-// whoever generates — the service's world cache or a study
-// constructor). This is the deps input for tracex.CriticalPath.
+// generation precedes every evaluation; NewStudyWithStore emits that
+// span inside the "node world" entry that generates the world). This
+// is the deps input for tracex.CriticalPath.
 func SpanDeps() map[string][]string {
 	raw := studyGraph.Deps()
 	out := make(map[string][]string, len(raw))
@@ -131,8 +149,8 @@ func ResolveArtefacts(names ...string) ([]string, error) {
 
 // worldKey is the canonical identity of the generated world: the part
 // of the request the §3 selection depends on.
-func (s *Study) worldKey() string {
-	c := s.Opts.Synth.Canonical()
+func worldKey(cfg synth.Config) string {
+	c := cfg.Canonical()
 	return "seed=" + strconv.FormatUint(c.Seed, 10) +
 		"|scale=" + strconv.FormatFloat(c.Scale, 'g', -1, 64) +
 		"|img=" + strconv.Itoa(c.ImageSize) +
@@ -145,7 +163,7 @@ func (s *Study) worldKey() string {
 // pools, and the determinism invariant guarantees they never move a
 // result.
 func (s *Study) studyKey() string {
-	key := s.worldKey() +
+	key := worldKey(s.Opts.Synth) +
 		"|ann=" + strconv.Itoa(s.Opts.AnnotationSize) +
 		"|train=" + strconv.FormatFloat(s.Opts.TrainFrac, 'g', -1, 64) +
 		"|pack=" + strconv.Itoa(s.Opts.ImagesPerPack)
@@ -191,17 +209,21 @@ var studyGraph = newStudyGraph()
 
 func newStudyGraph() *artefact.Graph[*Study] {
 	g := artefact.NewGraph[*Study]()
-	worldKey := func(s *Study) string { return s.worldKey() }
+	register := func(n artefact.Node[*Study]) {
+		n.Keep = nodeKeep
+		g.MustRegister(n)
+	}
+	selectKey := func(s *Study) string { return worldKey(s.Opts.Synth) }
 	studyKey := func(s *Study) string { return s.studyKey() }
 
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactSelect,
-		Key:  worldKey,
+		Key:  selectKey,
 		Compute: func(_ context.Context, s *Study, _ artefact.Deps) (any, error) {
 			return s.SelectEWhoring(), nil
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactClassifier,
 		Deps: []string{ArtefactSelect},
 		Key:  studyKey,
@@ -209,7 +231,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return s.TrainAndExtract(artefact.Get[[]forum.ThreadID](d, ArtefactSelect))
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactTable1,
 		Deps: []string{ArtefactSelect, ArtefactClassifier},
 		Key:  studyKey,
@@ -222,7 +244,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return rows, nil
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactLinks,
 		Deps: []string{ArtefactClassifier},
 		Key:  studyKey,
@@ -236,7 +258,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return linksValue{links: links, whitelist: s.Whitelist}, nil
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactCrawl,
 		Deps: []string{ArtefactLinks},
 		Key:  studyKey,
@@ -249,7 +271,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return crawlValue{results: results, stats: crawler.Summarize(results)}, nil
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactPhotoDNA,
 		Deps: []string{ArtefactCrawl},
 		Key:  studyKey,
@@ -275,7 +297,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return photodnaValue{safe: safe, summary: hotline.Summarize(), reports: hotline.Reports()}, nil
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactNSFV,
 		Deps: []string{ArtefactPhotoDNA},
 		Key:  studyKey,
@@ -288,7 +310,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return nres, nil
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactProvenance,
 		Deps: []string{ArtefactNSFV},
 		Key:  studyKey,
@@ -296,7 +318,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return s.provenanceConcurrent(ctx, artefact.Get[NSFVResult](d, ArtefactNSFV))
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactEarnings,
 		// The §5 analysis classifies links against the post-snowball
 		// whitelist, so it depends on the links artefact even though
@@ -315,7 +337,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return earningsValue{res: res, reports: hotline.Reports()}, nil
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactActors,
 		Deps: []string{ArtefactSelect, ArtefactClassifier, ArtefactEarnings},
 		Key:  studyKey,
@@ -326,7 +348,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			return s.AnalyzeActors(ew, cls.Extract.TOPs, ev.res.Proofs), nil
 		},
 	})
-	g.MustRegister(artefact.Node[*Study]{
+	register(artefact.Node[*Study]{
 		Name: ArtefactExchange,
 		Deps: []string{ArtefactActors},
 		Key:  studyKey,
@@ -400,23 +422,6 @@ func (s *Study) provenanceConcurrent(ctx context.Context, n NSFVResult) (Provena
 	return fold.finish(s), nil
 }
 
-// UseMemo attaches a shared artefact memo store: node values memoize
-// into it under their canonical keys, so later runs — this study's or
-// another study's with overlapping semantics — reuse them instead of
-// recomputing. Must be set before the first Run or Compute; without
-// it the study memoizes into a private store, so reuse stops at the
-// study boundary.
-//
-// A study that receives memoized values never executes the
-// corresponding stage methods, so side effects those methods leave on
-// the study (the trained Hybrid, the snowball-expanded Whitelist) may
-// be absent — everything downstream nodes need travels inside the
-// values themselves. Mixing graph evaluation with direct stage-method
-// calls on the same study is not supported.
-func (s *Study) UseMemo(store *artefact.Store) {
-	s.memo = store
-}
-
 // Compute evaluates only the named artefacts (plus their transitive
 // dependencies) and returns a partial Results holding every field the
 // evaluation produced. Names may be artefact names or table/figure
@@ -424,7 +429,7 @@ func (s *Study) UseMemo(store *artefact.Store) {
 // Unlike Run, Compute does not release the study's backend — call
 // Close when done — so a study can serve any number of selective
 // computations; repeated calls are idempotent and answered from the
-// study's memo (private, or the shared store given to UseMemo).
+// study's memo (private, or the store given to NewStudyWithStore).
 func (s *Study) Compute(ctx context.Context, names ...string) (*Results, error) {
 	arts, err := ResolveArtefacts(names...)
 	if err != nil {
@@ -442,8 +447,8 @@ func (s *Study) Compute(ctx context.Context, names ...string) (*Results, error) 
 
 // evaluate runs the artefact graph over this study, recording one
 // stage per resolved node into the study's pipeline stats. Values
-// land in the shared memo store when one is attached, otherwise in
-// the study's private store — either way evaluation is idempotent:
+// land in the study's memo store, shared or private — either way
+// evaluation is idempotent:
 // a node computes at most once per semantic key, however many times
 // Run or Compute ask for it.
 func (s *Study) evaluate(ctx context.Context, arts []string) (map[string]any, error) {
@@ -461,11 +466,7 @@ func (s *Study) evaluate(ctx context.Context, arts []string) (map[string]any, er
 		lg.Debug("artefact node",
 			"node", ev.Node, "memoized", ev.Memoized, "wall_ms", ev.Wall.Milliseconds())
 	}}
-	store := s.memo
-	if store == nil {
-		store = s.localMemo
-	}
-	return studyGraph.Evaluate(ctx, s, store, opts, arts...)
+	return studyGraph.Evaluate(ctx, s, s.memo, opts, arts...)
 }
 
 // fillResults copies evaluated artefact values into their Results

@@ -15,8 +15,9 @@ import (
 // pin. Per-node and per-stage metrics are available from
 // PipelineStats afterwards.
 //
-// When a memo store is attached (UseMemo), node values are reused
-// from — and published to — it under their canonical keys.
+// Node values are reused from — and published to — the study's memo
+// store under their canonical keys (shared across studies when built
+// with NewStudyWithStore).
 func (s *Study) Run(ctx context.Context) (*Results, error) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(ctx)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/internal/topclass"
+	"repro/internal/tracex"
 	"repro/internal/urlx"
 )
 
@@ -93,13 +95,12 @@ type Study struct {
 	// in-process world; UseBackend swaps in an HTTP backend.
 	backend Backend
 
-	// memo, when set via UseMemo, shares artefact values across runs
-	// and studies under their canonical node keys; otherwise the
-	// study memoizes privately into localMemo, so repeated Compute
-	// calls on one study are idempotent (the snowball expansion and
-	// every other node run at most once per semantic key).
-	memo      *artefact.Store
-	localMemo *artefact.Store
+	// memo holds the study's artefact values under their canonical
+	// node keys: a private store (NewStudy) or one shared across
+	// studies (NewStudyWithStore). Either way repeated Compute calls
+	// on one study are idempotent (the snowball expansion and every
+	// other node run at most once per semantic key).
+	memo *artefact.Store
 
 	// stats holds the stage metrics of the most recent concurrent Run
 	// or Compute.
@@ -112,36 +113,61 @@ type Study struct {
 
 // NewStudy generates the world and prepares the study.
 func NewStudy(opts Options) *Study {
-	return NewStudyWithWorld(opts, nil)
+	//lint:ignore ctxhygiene the context only scopes world generation; context-aware callers use NewStudyContext.
+	return NewStudyContext(context.Background(), opts)
 }
 
 // NewStudyContext is NewStudy under a caller context: world generation
 // records its per-generator child spans on any tracer in ctx and fans
-// out over opts.Synth.Workers.
+// out over opts.Synth.Workers. The study memoizes its artefacts into a
+// private store, so reuse stops at the study boundary.
 func NewStudyContext(ctx context.Context, opts Options) *Study {
-	return NewStudyWithWorldContext(ctx, opts, nil)
+	opts = opts.withDefaults()
+	return newStudy(opts, synth.GenerateContext(ctx, opts.Synth), artefact.NewStore())
 }
 
-// NewStudyWithWorld prepares a study over an already-generated world,
-// skipping generation — the seam the sweep engine's world cache uses
-// to share one immutable world across cells that differ only in
-// annotation size, worker counts or crawl concurrency. Generation is
-// deterministic in the canonical config, so a shared world and a
-// fresh one produce bit-identical Results. A nil world, or one whose
-// config does not match opts.Synth, is generated from opts.Synth as
-// NewStudy would.
+// NewStudyWithStore prepares a study whose world and artefact values
+// resolve through a shared memo store. The world is the store's
+// "world" entry, keyed by the canonical synth config: concurrent
+// studies of one world generate it once (inside a "synth" span, under
+// the "node world" span every resolution records), and the store keeps
+// its worldKeep most recently used worlds. Node values memoize into
+// the same store under their canonical keys, so a later study with
+// overlapping semantics — a different table of the same world, or the
+// same study with other worker counts — reuses them instead of
+// recomputing. Results are bit-identical to NewStudy's: generation is
+// deterministic in the canonical config, and a run never mutates its
+// world (DESIGN.md §3), so one world may back any number of concurrent
+// studies. A nil store is NewStudyContext.
 //
-// A run never mutates the world (DESIGN.md §3: concurrency safety
-// rests on a frozen world), so the same *synth.World may back any
-// number of concurrent studies.
-func NewStudyWithWorld(opts Options, world *synth.World) *Study {
-	//lint:ignore ctxhygiene the context only scopes world generation; context-aware callers use NewStudyWithWorldContext.
-	return NewStudyWithWorldContext(context.Background(), opts, world)
+// A study that receives memoized values never executes the
+// corresponding stage methods, so side effects those methods leave on
+// the study (the trained Hybrid, the snowball-expanded Whitelist) may
+// be absent — everything downstream nodes need travels inside the
+// values themselves. Mixing graph evaluation with direct stage-method
+// calls on the same study is not supported.
+//
+// The only error is ctx's, when it ends while waiting on another
+// study's generation of the same world.
+func NewStudyWithStore(ctx context.Context, opts Options, store *artefact.Store) (*Study, error) {
+	if store == nil {
+		return NewStudyContext(ctx, opts), nil
+	}
+	opts = opts.withDefaults()
+	world, _, err := store.Resolve(ctx, worldNode, worldKey(opts.Synth), worldKeep, func(ctx context.Context) (any, error) {
+		ctx, sp := tracex.StartSpan(ctx, "synth")
+		defer sp.End()
+		sp.SetAttr("workers", strconv.Itoa(opts.Synth.EffectiveWorkers()))
+		return synth.GenerateContext(ctx, opts.Synth), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newStudy(opts, world.(*synth.World), store), nil
 }
 
-// NewStudyWithWorldContext is NewStudyWithWorld under a caller
-// context, used when generation should trace into ctx's span tree.
-func NewStudyWithWorldContext(ctx context.Context, opts Options, world *synth.World) *Study {
+// withDefaults fills the study parameters a zero Options leaves unset.
+func (opts Options) withDefaults() Options {
 	if opts.AnnotationSize <= 0 {
 		opts.AnnotationSize = 1000
 	}
@@ -154,15 +180,17 @@ func NewStudyWithWorldContext(ctx context.Context, opts Options, world *synth.Wo
 	if opts.CrawlConcurrency <= 0 {
 		opts.CrawlConcurrency = 8
 	}
-	if world == nil || world.Config != opts.Synth.Canonical() {
-		world = synth.GenerateContext(ctx, opts.Synth)
-	}
+	return opts
+}
+
+// newStudy assembles a study over its world and memo store.
+func newStudy(opts Options, world *synth.World, memo *artefact.Store) *Study {
 	s := &Study{
 		Opts:      opts,
 		World:     world,
 		Whitelist: urlx.DefaultWhitelist(),
 		Hotline:   photodna.NewHotline(),
-		localMemo: artefact.NewStore(0),
+		memo:      memo,
 	}
 	if plan, err := faultx.ParseProfile(opts.Faults); err == nil {
 		s.faultInj = faultx.NewInjector(plan)

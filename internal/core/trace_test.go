@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -16,11 +15,12 @@ import (
 
 var updateTrace = flag.Bool("update", false, "rewrite trace golden files with the current output")
 
-// traceStudy runs one seed-77 study under a tracer and returns the
-// recorded trace. A cold run generates the world inside a "synth" span
-// (as studysvc.execute does); a warm run reuses world and memo, so its
-// trace is what the service records on a cache-warm request.
-func traceStudy(t *testing.T, tracer *tracex.Tracer, store *artefact.Store, world *synth.World) (tracex.Trace, *synth.World) {
+// traceStudy runs one seed-77 study over store under a tracer and
+// returns the recorded trace. The world is the store's "world" entry
+// (as in studysvc.execute): a cold run generates it inside "node world"
+// → "synth", a warm run hits it, so its trace is what the service
+// records on a cache-warm request.
+func traceStudy(t *testing.T, tracer *tracex.Tracer, store *artefact.Store) tracex.Trace {
 	t.Helper()
 	opts := Options{
 		// Synth workers pinned too: the synth span carries the count as
@@ -34,16 +34,10 @@ func traceStudy(t *testing.T, tracer *tracex.Tracer, store *artefact.Store, worl
 	}
 	ctx := tracex.NewContext(context.Background(), tracer)
 	ctx, root := tracex.StartSpan(ctx, "run")
-	var s *Study
-	if world == nil {
-		sctx, synthSpan := tracex.StartSpan(ctx, "synth")
-		synthSpan.SetAttr("workers", strconv.Itoa(opts.Synth.EffectiveWorkers()))
-		s = NewStudyContext(sctx, opts)
-		synthSpan.End()
-	} else {
-		s = NewStudyWithWorld(opts, world)
+	s, err := NewStudyWithStore(ctx, opts, store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.UseMemo(store)
 	if _, err := s.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +46,7 @@ func traceStudy(t *testing.T, tracer *tracex.Tracer, store *artefact.Store, worl
 	if !ok {
 		t.Fatal("study trace not recorded")
 	}
-	return tr, s.World
+	return tr
 }
 
 // TestStudyTraceGolden pins the aggregated span tree of a seed-77
@@ -66,10 +60,10 @@ func traceStudy(t *testing.T, tracer *tracex.Tracer, store *artefact.Store, worl
 //	go test ./internal/core -run TestStudyTraceGolden -update
 func TestStudyTraceGolden(t *testing.T) {
 	tracer := tracex.New(tracex.Config{IDs: tracex.NewSeqIDs(9)})
-	store := artefact.NewStore(0)
+	store := artefact.NewStore()
 
-	cold, world := traceStudy(t, tracer, store, nil)
-	warm, _ := traceStudy(t, tracer, store, world)
+	cold := traceStudy(t, tracer, store)
+	warm := traceStudy(t, tracer, store)
 
 	checkGolden(t, "cold", cold)
 	checkGolden(t, "warm", warm)

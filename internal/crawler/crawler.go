@@ -633,22 +633,6 @@ func Summarize(results []Result) Stats {
 	return s
 }
 
-// ErrNoTasks is returned by helpers that require at least one task.
-var ErrNoTasks = errors.New("crawler: no tasks")
-
-// TasksFromLinks builds tasks from classified links plus uniform
-// provenance, skipping unknown-kind links.
-func TasksFromLinks(links []urlx.Link, thread forum.ThreadID, post forum.PostID, author forum.ActorID) []Task {
-	var out []Task
-	for _, l := range links {
-		if l.Kind == urlx.KindUnknown {
-			continue
-		}
-		out = append(out, Task{Link: l, Thread: thread, Post: post, Author: author})
-	}
-	return out
-}
-
 // OutcomeCounts renders ByOutcome in a stable order for reports.
 func (s Stats) OutcomeCounts() []string {
 	keys := make([]int, 0, len(s.ByOutcome))

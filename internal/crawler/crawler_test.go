@@ -213,17 +213,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestTasksFromLinks(t *testing.T) {
-	links := []urlx.Link{
-		{URL: "https://imgur.com/a", Domain: "imgur.com", Kind: urlx.KindImageSharing},
-		{URL: "https://random.net/b", Domain: "random.net", Kind: urlx.KindUnknown},
-	}
-	tasks := TasksFromLinks(links, 5, 6, 7)
-	if len(tasks) != 1 || tasks[0].Thread != 5 {
-		t.Fatalf("tasks = %+v", tasks)
-	}
-}
-
 func TestOutcomeString(t *testing.T) {
 	for o, want := range map[Outcome]string{
 		OutcomeOK: "ok", OutcomeNotFound: "not found",

@@ -18,12 +18,15 @@
 //
 //   - a bounded worker pool: at most Config.MaxConcurrentRuns studies
 //     execute at once, the rest queue;
-//   - in-flight coalescing: concurrent identical requests attach to
-//     the one running study instead of starting their own;
-//   - an LRU result cache keyed by canonicalized options: a study is
-//     deterministic in its options (DESIGN.md §1), so a completed
-//     Results never goes stale and identical requests are pure cache
-//     hits.
+//   - one run table keyed by canonicalized options: concurrent
+//     identical requests attach to the one running study instead of
+//     starting their own, and a completed run stays in an LRU — a
+//     study is deterministic in its options (DESIGN.md §1), so its
+//     Results never go stale and identical requests are pure cache
+//     hits;
+//   - one shared memo store below the table: runs of one world
+//     generate it once and share every artefact node they have in
+//     common.
 package studysvc
 
 import (
@@ -32,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -69,12 +73,6 @@ type Config struct {
 	// (default 64): each cell is a full study, so a sweep is the
 	// service's most expensive request by far.
 	MaxSweepCells int
-	// WorldCacheSize bounds how many generated worlds stay resident
-	// for reuse across runs with the same canonical synth config
-	// (default 2; negative disables sharing). Worlds are the largest
-	// object the service holds, so the bound trades regeneration time
-	// against steady-state memory.
-	WorldCacheSize int
 	// BaseContext, when set, is the root context of every study and
 	// sweep the service executes. Runs are deliberately detached from
 	// the requesting HTTP context — coalesced requests share one run,
@@ -83,16 +81,6 @@ type Config struct {
 	// cancelled at shutdown and in-flight studies stop with it. Nil
 	// defaults to an un-cancellable background context.
 	BaseContext context.Context
-	// MemoSize bounds the shared artefact memo store in entries
-	// (default 33 ≈ three worlds' node sets; negative disables
-	// sharing). Every run — full or filtered — evaluates through this
-	// store, so two clients asking for different tables of the same
-	// world run the shared prefix of the artefact graph once, and
-	// runs differing only in worker knobs recompute nothing. Entries
-	// hold real artefact values — the crawl node's value is the whole
-	// downloaded corpus — so this bound, like WorldCacheSize, trades
-	// recomputation against steady-state memory.
-	MemoSize int
 	// MaxQueueDepth bounds how many fresh-run HTTP requests may wait
 	// for a pool slot at once (default 2×MaxConcurrentRuns; negative
 	// disables queueing — a saturated pool sheds immediately). Beyond
@@ -134,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweepCells <= 0 {
 		c.MaxSweepCells = 64
-	}
-	if c.WorldCacheSize == 0 {
-		c.WorldCacheSize = 2
-	}
-	if c.MemoSize == 0 {
-		c.MemoSize = 33
 	}
 	if c.MaxQueueDepth == 0 {
 		c.MaxQueueDepth = 2 * c.MaxConcurrentRuns
@@ -244,6 +226,16 @@ func canonicalize(r Request) (Canonical, error) {
 	return c, nil
 }
 
+// decodeRequest reads a POST /v1/study body: one JSON object, unknown
+// fields rejected.
+func decodeRequest(body io.Reader) (Request, error) {
+	var in Request
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&in)
+	return in, err
+}
+
 // fromCell canonicalizes a sweep cell — cells are already normalized
 // with the same defaults, so this is the identity on the values, just
 // a type change. Cells never carry an artefact filter; a cell with an
@@ -339,8 +331,13 @@ type run struct {
 	// requester's trace, matching how coalescing works everywhere else.
 	originSpan tracex.SpanContext
 	done       chan struct{} // closed when the run finishes
+	// el is the run's element in the service's LRU of done runs, nil
+	// until the run completes successfully (guarded by the service's
+	// mu).
+	el *list.Element
 
-	// Written once before done closes, read-only after.
+	// Written once before done closes, read-only after (status under
+	// the service's mu, which List reads it under).
 	status   string
 	errMsg   string
 	elapsed  time.Duration
@@ -405,8 +402,8 @@ type Stats struct {
 	// OpenRequests counts HTTP requests currently being served,
 	// including ones merely waiting on a run.
 	OpenRequests int `json:"open_requests"`
-	// Memo mirrors the shared artefact store's counters (absent when
-	// memo sharing is disabled): Computes is the work the service
+	// Memo mirrors the shared memo store's counters (generated worlds
+	// count as "world" entries): Computes is the work the service
 	// actually did, Hits the work the artefact graph saved it.
 	Memo *artefact.StoreStats `json:"memo,omitempty"`
 	// QueueWait is the admission-wait distribution over successfully
@@ -419,37 +416,35 @@ type Stats struct {
 	Nodes []NodeStats `json:"nodes"`
 }
 
-// Service runs studies behind a cache, an in-flight table and a
+// Service runs studies behind a run table, a shared memo store and a
 // bounded pool. Create with New; mount via Handler.
 type Service struct {
 	cfg Config
 	sem chan struct{} // bounded worker pool
 
-	mu       sync.Mutex
-	stats    Stats
-	inflight map[string]*run
-	byID     map[string]*run
-	order    *list.List               // LRU: front = most recent
-	cache    map[string]*list.Element // key → element whose Value is *run
-	failed   []string                 // failed run ids, oldest first (bounded)
-	nextID   int
+	mu    sync.Mutex
+	stats Stats
+	// runs maps a canonical key to its run: running (coalesce onto it)
+	// or done (a cache hit). A run leaves it when it fails or is
+	// evicted from the LRU. A run's completion is one critical section
+	// under mu, so every lookup sees it either running or done.
+	runs   map[string]*run
+	byID   map[string]*run
+	order  *list.List // LRU of done runs: front = most recent
+	failed []string   // failed run ids, oldest first (bounded)
+	nextID int
 
 	// sweeps holds server-side sweep runs by id (bounded FIFO).
 	sweeps     map[string]*sweepRun
 	sweepOrder []string
 	nextSweep  int
 
-	// worlds shares generated synth worlds across runs whose canonical
-	// synth configs match (LRU-bounded; safe — runs never mutate their
-	// world). Server-side sweep cells varying only annotation/workers
-	// hit it hardest.
-	worlds *sweep.WorldCache
-
-	// memo shares artefact values across every run through the
-	// service (LRU-bounded in entries): two clients asking for
-	// different tables of the same world run the shared prefix of the
-	// artefact graph once, coalesced by the store's in-flight
-	// deduplication.
+	// memo shares generated worlds and artefact values across every
+	// run through the service (bounded per node name — core's
+	// constants): runs of one synth config generate its world once,
+	// and two clients asking for different tables of the same world
+	// run the shared prefix of the artefact graph once, coalesced by
+	// the store's in-flight deduplication.
 	memo *artefact.Store
 
 	// waiting counts admission-queue waiters (guarded by mu; bounded
@@ -479,20 +474,14 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.MaxConcurrentRuns),
-		inflight:  make(map[string]*run),
+		runs:      make(map[string]*run),
 		byID:      make(map[string]*run),
 		order:     list.New(),
-		cache:     make(map[string]*list.Element),
+		memo:      artefact.NewStore(),
 		sweeps:    make(map[string]*sweepRun),
 		queueWait: pipeline.NewHistogram(),
 		nodes:     make(map[string]*nodeAgg),
 		openReqs:  make(map[string]openRequest),
-	}
-	if cfg.WorldCacheSize > 0 {
-		s.worlds = sweep.NewWorldCache(cfg.WorldCacheSize)
-	}
-	if cfg.MemoSize > 0 {
-		s.memo = artefact.NewStore(cfg.MemoSize)
 	}
 	return s
 }
@@ -519,16 +508,9 @@ func (s *Service) getOrStart(ctx context.Context, c Canonical, block bool) (r *r
 	defer s.mu.Unlock()
 	// Re-check under the lock: an identical request may have completed
 	// or started while we waited for the slot.
-	if el, ok := s.cache[key]; ok {
+	if r, ok := s.runs[key]; ok {
 		<-s.sem // release the unused slot; never blocks, we hold it
-		s.order.MoveToFront(el)
-		s.stats.CacheHits++
-		return el.Value.(*run), true, nil
-	}
-	if r, ok := s.inflight[key]; ok {
-		<-s.sem
-		s.stats.Coalesced++
-		return r, false, nil
+		return r, s.hitLocked(r), nil
 	}
 	s.nextID++
 	r = &run{
@@ -540,28 +522,35 @@ func (s *Service) getOrStart(ctx context.Context, c Canonical, block bool) (r *r
 		done:       make(chan struct{}),
 		status:     StatusRunning,
 	}
-	s.inflight[key] = r
+	s.runs[key] = r
 	s.byID[r.id] = r
 	s.stats.RunsStarted++
 	go s.execute(r) // execute owns the admitted slot and releases it
 	return r, false, nil
 }
 
-// lookup checks the result cache and the in-flight table; ok reports
-// that the request needs no new run (and so no admission).
+// lookup checks the run table; ok reports that the request needs no
+// new run (and so no admission).
 func (s *Service) lookup(key string) (r *run, cached, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.cache[key]; ok {
-		s.order.MoveToFront(el)
-		s.stats.CacheHits++
-		return el.Value.(*run), true, true
-	}
-	if r, ok := s.inflight[key]; ok {
-		s.stats.Coalesced++
-		return r, false, true
+	if r, ok := s.runs[key]; ok {
+		return r, s.hitLocked(r), true
 	}
 	return nil, false, false
+}
+
+// hitLocked counts a request answered by an existing run and reports
+// whether it was a cache hit (the run is done) rather than coalesced
+// onto a running one. Caller holds s.mu.
+func (s *Service) hitLocked(r *run) (cached bool) {
+	if r.el == nil {
+		s.stats.Coalesced++
+		return false
+	}
+	s.order.MoveToFront(r.el)
+	s.stats.CacheHits++
+	return true
 }
 
 // execute runs one study and publishes the outcome. The caller
@@ -589,49 +578,38 @@ func (s *Service) execute(r *run) {
 	ctx, runSpan := tracex.StartSpan(ctx, "run")
 	runSpan.SetAttr("run", r.id)
 	runSpan.SetAttr("options", r.key)
-	defer runSpan.End()
 	lg.Info("run start", "options", r.key)
 
 	start := time.Now()
-	// Worlds are shared across runs with the same canonical synth
-	// config: server-side sweep cells (and study requests) that only
-	// vary annotation/workers/crawl reuse one generated world.
-	// World acquisition is the study's cold-start dominator, so it gets
-	// its own span; a cache hit shows up as a near-zero "synth" span, a
-	// miss as the generation cost the critical-path report attributes.
-	opts := r.opts.coreOptions()
-	var study *core.Study
-	sctx, synthSpan := tracex.StartSpan(ctx, "synth")
-	synthSpan.SetAttr("workers", strconv.Itoa(opts.Synth.EffectiveWorkers()))
-	if s.worlds != nil {
-		study = core.NewStudyWithWorldContext(sctx, opts, s.worlds.GetContext(sctx, opts.Synth))
-	} else {
-		study = core.NewStudyContext(sctx, opts)
-	}
-	synthSpan.End()
-	if s.memo != nil {
-		study.UseMemo(s.memo)
-	}
-
-	// Full requests evaluate the whole artefact graph; filtered
-	// requests only the selection's subgraph. Either way the shared
-	// memo store carries node values across runs.
+	// The world is the memo store's "world" entry: runs (and
+	// server-side sweep cells) that share a canonical synth config and
+	// only vary annotation/workers/crawl reuse one generated world. A
+	// miss generates inside the entry's "synth" span, the cold-start
+	// dominator the critical-path report attributes; a hit is a
+	// near-zero "node world" span. The same store carries node values
+	// across runs: full requests evaluate the whole artefact graph,
+	// filtered requests only the selection's subgraph.
 	var res *core.Results
-	var err error
-	sections, _, rerr := report.Resolve(r.opts.Artefacts...)
-	if rerr != nil {
-		// Unreachable for canonicalized options, but never run an
-		// unvalidated selection.
-		err = rerr
-	} else if len(r.opts.Artefacts) == 0 {
-		res, err = study.Run(ctx)
-	} else {
-		res, err = study.Compute(ctx, r.opts.Artefacts...)
-		study.Close()
+	sections, _, err := report.Resolve(r.opts.Artefacts...)
+	// err != nil is unreachable for canonicalized options, but never
+	// run an unvalidated selection.
+	var study *core.Study
+	if err == nil {
+		study, err = core.NewStudyWithStore(ctx, r.opts.coreOptions(), s.memo)
+	}
+	if err == nil {
+		if len(r.opts.Artefacts) == 0 {
+			res, err = study.Run(ctx)
+		} else {
+			res, err = study.Compute(ctx, r.opts.Artefacts...)
+			study.Close()
+		}
 	}
 	elapsed := time.Since(start)
 
+	status := StatusFailed
 	if err == nil {
+		status = StatusDone
 		r.sections = make(map[string]string, len(sections))
 		parts := make([]string, 0, len(sections))
 		for _, sec := range sections {
@@ -652,68 +630,63 @@ func (s *Service) execute(r *run) {
 		}
 		r.stages = study.PipelineStats()
 		r.elapsed = elapsed
-		r.status = StatusDone
-	} else {
-		r.errMsg = err.Error()
-		r.status = StatusFailed
-	}
-
-	runSpan.SetAttr("status", r.status)
-
-	// Publish the outcome before the bookkeeping: once the run is
-	// reachable through the cache it must already read as finished.
-	// Requests landing between the close and the cache insert still
-	// find the run in inflight and coalesce onto the closed channel.
-	close(r.done)
-
-	if err == nil {
-		lg.Info("run done", "status", r.status, "elapsed_ms", elapsed.Milliseconds(), "artefacts", len(r.sections))
+		lg.Info("run done", "status", status, "elapsed_ms", elapsed.Milliseconds(), "artefacts", len(r.sections))
 		// The artefact evaluator already recorded one "node X" stage
 		// per resolved node; fold them into the service-lifetime
 		// per-node aggregates /v1/stats serves.
 		s.foldNodeStats(r.stages)
 	} else {
+		r.errMsg = err.Error()
 		lg.Error("run failed", "error", err.Error(), "elapsed_ms", elapsed.Milliseconds())
 	}
+	runSpan.SetAttr("status", status)
+	// End the span before publishing: a client that sees the run done
+	// and fetches its trace must find the "run" span in it.
+	runSpan.End()
+	s.finish(r, status)
+}
 
+// finish publishes a run's outcome in one critical section: the status,
+// then the run table (a done run enters the LRU; a failed one leaves
+// the table, so identical options retry), then done closes. A lookup
+// therefore never sees a finished run that is not yet a cache hit —
+// nor a cache hit still running.
+func (s *Service) finish(r *run, status string) {
 	s.mu.Lock()
-	delete(s.inflight, r.key)
-	if err == nil {
+	defer s.mu.Unlock()
+	r.status = status
+	if status == StatusDone {
 		s.stats.RunsCompleted++
-		s.cache[r.key] = s.order.PushFront(r)
+		r.el = s.order.PushFront(r)
 		for s.order.Len() > s.cfg.CacheSize {
-			el := s.order.Back()
-			victim := el.Value.(*run)
-			s.order.Remove(el)
-			delete(s.cache, victim.key)
+			victim := s.order.Remove(s.order.Back()).(*run)
+			delete(s.runs, victim.key)
 			delete(s.byID, victim.id)
 			s.stats.Evictions++
 		}
 	} else {
 		s.stats.RunsFailed++
+		delete(s.runs, r.key)
 		// Failed runs stay addressable for a while so a waiting GET can
-		// read the error, but never enter the cache: identical options
-		// retry. Bound the bookkeeping.
+		// read the error. Bound the bookkeeping.
 		s.failed = append(s.failed, r.id)
 		for len(s.failed) > 32 {
 			delete(s.byID, s.failed[0])
 			s.failed = s.failed[1:]
 		}
 	}
-	s.mu.Unlock()
+	close(r.done)
 }
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
-	st.InFlight = len(s.inflight)
-	st.CachedResults = len(s.cache)
+	st.InFlight = len(s.runs) - s.order.Len()
+	st.CachedResults = s.order.Len()
 	st.QueueDepth = s.waiting
-	if s.memo != nil {
-		ms := s.memo.Stats()
-		st.Memo = &ms
-	}
+	ms := s.memo.Stats()
+	st.Memo = &ms
 	st.Nodes = s.nodeStatsLocked()
 	s.mu.Unlock()
 	st.QueueWait = s.queueWait.Snapshot()
@@ -760,10 +733,8 @@ func (s *Service) validate(c Canonical) string {
 }
 
 func (s *Service) handleRun(w http.ResponseWriter, req *http.Request) {
-	var in Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	in, err := decodeRequest(http.MaxBytesReader(w, req.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -882,8 +853,8 @@ func (s *Service) handleArtefact(w http.ResponseWriter, req *http.Request) {
 }
 
 // RunInfo is one row of the GET /v1/study listing: enough for a sweep
-// client or an operator to inspect the LRU and the in-flight table
-// without guessing ids.
+// client or an operator to inspect the run table without guessing
+// ids.
 type RunInfo struct {
 	ID      string    `json:"id"`
 	Status  string    `json:"status"`
@@ -905,9 +876,11 @@ func (s *Service) List() RunList {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := RunList{Runs: []RunInfo{}}
-	inflight := make([]*run, 0, len(s.inflight))
-	for _, r := range s.inflight {
-		inflight = append(inflight, r)
+	var inflight []*run
+	for _, r := range s.runs {
+		if r.el == nil {
+			inflight = append(inflight, r)
+		}
 	}
 	// Ids are "s-N" with N monotonically increasing: numeric order is
 	// start order.

@@ -31,37 +31,25 @@ type CellResult struct {
 // Local runs each cell as an in-process core.Study on the concurrent
 // engine.
 type Local struct {
-	// Worlds, when set, shares one generated world across every cell
-	// with the same canonical synth config, so a grid that only varies
-	// annotation size, workers or crawl concurrency generates its
-	// world once instead of once per cell. Results are bit-identical
-	// either way (generation is deterministic and runs never mutate
-	// the world); TestCachedSweepMatchesUncached pins it.
-	Worlds *WorldCache
-	// Memo, when set, shares artefact values across cells under their
-	// canonical node keys — reuse one level above Worlds: a
-	// crawler-concurrency grid (or a re-run of an annotation-only
-	// grid against a warm store) re-crawls zero times and only pays
-	// for the nodes whose inputs actually changed. Results are
-	// bit-identical either way (node keys cover every semantic
-	// parameter); TestArtefactMemoSweep pins it.
+	// Memo, when set, shares the generated world and artefact values
+	// across cells under their canonical keys: cells with the same
+	// synth config generate their world once, a crawler-concurrency
+	// grid (or a re-run of an annotation-only grid against a warm
+	// store) re-crawls zero times, and a cell only pays for the nodes
+	// whose inputs actually changed. Nil runs every cell from scratch.
+	// Results are bit-identical either way (keys cover every semantic
+	// parameter); TestArtefactMemoSweep and
+	// TestCachedSweepMatchesUncached pin it.
 	Memo *artefact.Store
 }
 
-// RunCell generates (or fetches) the cell's world and runs the full
-// study.
+// RunCell resolves the cell's world and runs the full study.
 func (l Local) RunCell(ctx context.Context, c Cell) (CellResult, error) {
 	//lint:ignore determinism CellResult.Elapsed is timing metadata; aggregates and DeepEqual comparisons exclude it
 	start := time.Now()
-	opts := c.Options()
-	var study *core.Study
-	if l.Worlds != nil {
-		study = core.NewStudyWithWorld(opts, l.Worlds.Get(opts.Synth))
-	} else {
-		study = core.NewStudy(opts)
-	}
-	if l.Memo != nil {
-		study.UseMemo(l.Memo)
+	study, err := core.NewStudyWithStore(ctx, c.Options(), l.Memo)
+	if err != nil {
+		return CellResult{}, err
 	}
 	res, err := study.Run(ctx)
 	if err != nil {

@@ -25,8 +25,8 @@ func TestArtefactMemoSweep(t *testing.T) {
 	ctx := context.Background()
 
 	plain := Run(ctx, "memo-pair", cells, Local{}, Options{Parallelism: 2})
-	memo := artefact.NewStore(0)
-	backend := Local{Worlds: NewWorldCache(0), Memo: memo}
+	memo := artefact.NewStore()
+	backend := Local{Memo: memo}
 	cold := Run(ctx, "memo-pair", cells, backend, Options{Parallelism: 2})
 
 	if len(plain.Errors) != 0 || len(cold.Errors) != 0 {
@@ -52,6 +52,9 @@ func TestArtefactMemoSweep(t *testing.T) {
 	if n := memo.ComputeCount(core.ArtefactSelect); n != 1 {
 		t.Errorf("select computed %d times, want 1 (world-keyed)", n)
 	}
+	if n := memo.ComputeCount("world"); n != 1 {
+		t.Errorf("world generated %d times for 4 cells of one config, want 1", n)
+	}
 
 	// Warm re-run: the annotation-only sweep against the primed store
 	// must perform zero crawls — zero computations of any node — and
@@ -69,5 +72,40 @@ func TestArtefactMemoSweep(t *testing.T) {
 	}
 	if n := memo.ComputeCount(core.ArtefactCrawl); n != 2 {
 		t.Errorf("warm sweep crawled: crawl count %d, want 2", n)
+	}
+}
+
+// TestCachedSweepMatchesUncached: a sweep whose cells share one store
+// — worlds and artefact values — aggregates DeepEqual to the same
+// sweep without one, across a grid that both shares configs
+// (annotation and crawl-concurrency axes) and does not (a second
+// seed), and generates one world per seed, not per cell.
+func TestCachedSweepMatchesUncached(t *testing.T) {
+	cells := Grid{
+		Seeds:              []uint64{2019, 2020},
+		Scales:             []float64{0.01},
+		Annotations:        []int{150, 200},
+		CrawlConcurrencies: []int{2, 4},
+	}.Cells()
+	ctx := context.Background()
+
+	plain := Run(ctx, "cache-pair", cells, Local{}, Options{Parallelism: 2})
+	store := artefact.NewStore()
+	cached := Run(ctx, "cache-pair", cells, Local{Memo: store}, Options{Parallelism: 2})
+
+	if len(plain.Errors) != 0 || len(cached.Errors) != 0 {
+		t.Fatalf("unexpected errors: %v / %v", plain.Errors, cached.Errors)
+	}
+	if !reflect.DeepEqual(plain.Aggregate, cached.Aggregate) {
+		t.Fatalf("shared-store sweep aggregate differs from the plain one:\n%+v\nvs\n%+v",
+			cached.Aggregate, plain.Aggregate)
+	}
+	for i := range plain.Cells {
+		if !reflect.DeepEqual(plain.Cells[i].Summary, cached.Cells[i].Summary) {
+			t.Fatalf("cell %d summary differs under the shared store", i)
+		}
+	}
+	if n := store.ComputeCount("world"); n != 2 {
+		t.Fatalf("store generated %d worlds for 8 cells over 2 configs", n)
 	}
 }

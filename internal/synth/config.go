@@ -54,9 +54,9 @@ func DefaultConfig() Config {
 
 // Canonical returns the config with every defaulted field filled in —
 // the identity under which two configs generate the same world.
-// Config is comparable, so the canonical form is a cache key: the
-// sweep engine's world cache shares one generated world across all
-// study cells whose canonical synth configs are equal. Workers is
+// The canonical form is the world's cache identity: a shared memo
+// store (core.NewStudyWithStore) hands one generated world to every
+// study whose canonical synth config is equal. Workers is
 // zeroed: it sizes a goroutine pool and cannot move a result, so
 // configs differing only in Workers share one world.
 func (c Config) Canonical() Config {
